@@ -30,13 +30,6 @@ func New(n int) *Bitmap {
 // Len returns the capacity in bits.
 func (b *Bitmap) Len() int { return b.n }
 
-// Words returns the number of 64-bit words backing the bitmap.
-func (b *Bitmap) Words() int { return len(b.words) }
-
-// Word returns the i-th backing word; with Words it supports allocation-free
-// set-bit iteration (the pattern Ones would heap-allocate for).
-func (b *Bitmap) Word(i int) uint64 { return b.words[i] }
-
 // SizeBytes returns the memory footprint of the bit storage in bytes.
 func (b *Bitmap) SizeBytes() int { return len(b.words) * 8 }
 

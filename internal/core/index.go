@@ -226,10 +226,17 @@ type QuerySig struct {
 // paper's accuracy/space/latency trade-off: candidate volume and prune
 // effectiveness are what the buffer size and budget knobs actually move.
 type QueryStats struct {
-	Candidates    int // records touched by candidate generation
+	// Candidates counts the records touched by candidate generation. For
+	// top-k that is only the records its two-phase walk touched: the sketch
+	// candidates plus the buffer-only records its prefix-filtered buffer
+	// walk reached before stopping.
+	Candidates    int
 	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, no merge paid
 	Estimated     int // full G-KMV merge estimates performed
-	BufferAccepts int // hits settled by the exact buffer part alone
+	// BufferAccepts counts candidates settled by the exact buffer part
+	// alone, no merge paid: threshold hits whose buffer overlap meets θ, and
+	// top-k's buffer-only records (K∩ = 0), scored by the overlap alone.
+	BufferAccepts int
 }
 
 // Clone returns a copy of the signature that can be mutated (Size override,

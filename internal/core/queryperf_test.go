@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"sort"
 	"testing"
 
 	"gbkmv/internal/dataset"
 	"gbkmv/internal/gkmv"
+	"gbkmv/internal/hash"
 )
 
 // Allocation-regression tests: the arena + pooled-scratch query path must
@@ -141,19 +143,61 @@ func checkDifferential(t *testing.T, ix *Index, queries []dataset.Record, label 
 				}
 			}
 		}
-		for _, k := range []int{1, 5, 50} {
-			got := ix.SearchTopKSig(sig, k)
-			want := refTopK(ix, sig, k)
-			if len(got) != len(want) {
-				t.Fatalf("%s: q%d k=%d: %d results, want %d", label, qi, k, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: q%d k=%d: result %d = %+v, want %+v", label, qi, k, i, got[i], want[i])
+		// A halved |Q| override clamps many scores to 1, so the tie rule on
+		// ascending id decides the top-k there.
+		half := sig.Clone()
+		half.Size = (sig.Size + 1) / 2
+		for _, s := range []*QuerySig{sig, half} {
+			for _, k := range []int{1, 5, 10, 50, 100, len(ix.records) + 1} {
+				if err := diffTopK(ix, s, k); err != nil {
+					t.Fatalf("%s: q%d |Q|=%d: %v", label, qi, s.Size, err)
 				}
 			}
 		}
 	}
+}
+
+// diffTopK reports the first difference between SearchTopKSig and refTopK.
+func diffTopK(ix *Index, sig *QuerySig, k int) error {
+	got := ix.SearchTopKSig(sig, k)
+	want := refTopK(ix, sig, k)
+	if len(got) != len(want) {
+		return fmt.Errorf("k=%d: %d results, want %d", k, len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Errorf("k=%d: result %d = %+v, want %+v", k, i, got[i], want[i])
+		}
+	}
+	return nil
+}
+
+// diffQueries is the differential query set: n sampled records, plus
+// queries made only of buffered elements (empty rest) and sampled records
+// stripped of every buffered element (no buffer bits).
+func diffQueries(ix *Index, d *dataset.Dataset, n int, seed int64) []dataset.Record {
+	queries := d.SampleQueries(n, seed)
+	if buf := ix.BufferElements(); len(buf) > 0 {
+		head := buf[:min(len(buf), 6)]
+		queries = append(queries, dataset.NewRecord(head))
+		var spread []hash.Element
+		for i := 0; i < len(buf); i += 3 {
+			spread = append(spread, buf[i])
+		}
+		queries = append(queries, dataset.NewRecord(spread))
+	}
+	for _, q := range d.SampleQueries(n/2+1, seed+7) {
+		var rest dataset.Record
+		for _, e := range q {
+			if _, buffered := ix.bitOf[e]; !buffered {
+				rest = append(rest, e)
+			}
+		}
+		if len(rest) > 0 {
+			queries = append(queries, rest)
+		}
+	}
+	return queries
 }
 
 func TestArenaDifferentialAgainstReference(t *testing.T) {
@@ -170,7 +214,7 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		queries := d.SampleQueries(8, seed+1)
+		queries := diffQueries(ix, d, 8, seed+1)
 		checkDifferential(t, ix, queries, "fresh")
 
 		// Force an over-budget threshold shrink via a batch insert, then
@@ -201,6 +245,74 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 		}
 		checkDifferential(t, loaded, queries, "reloaded")
 	}
+}
+
+// TestTopKDifferentialSkewed runs the differential suite on a skewed corpus
+// large enough that top-k's buffer walk stops early, and proves it does: a
+// top-10 query touches fewer records than the index holds, and fewer than
+// score above zero (each of which a full walk would touch). It then makes
+// the cached bitOrder stale with inserts that lengthen the rarest buffered
+// bits' posting lists, and checks again before and after a Save/Load.
+func TestTopKDifferentialSkewed(t *testing.T) {
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 2000, Universe: 5000,
+		AlphaFreq: 1.1, AlphaSize: 2.5,
+		MinSize: 20, MaxSize: 300,
+	}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := BuildIndex(d, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := diffQueries(ix, d, 16, 6)
+	early := 0
+	for _, q := range queries {
+		sig := ix.Sketch(q)
+		ix.SearchTopKSig(sig, 10)
+		nonzero := len(refTopK(ix, sig, ix.NumRecords()))
+		if st := sig.Stats; st.Candidates < ix.NumRecords() && st.Candidates < nonzero {
+			early++
+		}
+	}
+	if early*2 <= len(queries) {
+		t.Fatalf("top-10 stopped early on %d of %d queries, want most", early, len(queries))
+	}
+	checkDifferential(t, ix, queries, "skewed")
+
+	// Records holding the four rarest buffered elements make those bits'
+	// posting lists the longest, so the cached rarest-first order is stale.
+	rare := make([]hash.Element, 4)
+	for i := range rare {
+		rare[i] = ix.bufferElems[ix.bitOrder[i]]
+	}
+	var extra []dataset.Record
+	for i, q := range d.SampleQueries(300, 8) {
+		extra = append(extra, dataset.NewRecord(append(append([]hash.Element(nil), q[:min(len(q), 10)]...), rare[:1+i%4]...)))
+	}
+	ix.AddRecords(extra)
+	stale := false
+	for i := 1; i < len(ix.bitOrder); i++ {
+		if len(ix.bufferPostings[ix.bitOrder[i-1]]) > len(ix.bufferPostings[ix.bitOrder[i]]) {
+			stale = true
+			break
+		}
+	}
+	if !stale {
+		t.Fatal("inserts left bitOrder sorted; fixture does not exercise a stale order")
+	}
+	checkDifferential(t, ix, queries, "stale-order")
+
+	var buf bytes.Buffer
+	if err := ix.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkDifferential(t, loaded, queries, "skewed-reloaded")
 }
 
 func TestLoadLegacyV1Snapshot(t *testing.T) {

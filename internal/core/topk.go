@@ -1,7 +1,7 @@
 package core
 
 import (
-	"math/bits"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -37,36 +37,39 @@ func (ix *Index) SearchTopKSig(sig *QuerySig, k int) []Scored {
 	return ix.topkSigWith(sig, k, sc)
 }
 
-// topkSigWith selects the k best candidates with a bounded min-heap and an
-// upper-bound prune instead of scoring everything and sorting: once the heap
-// holds k results, a candidate whose cheap score ceiling cannot beat the
-// running k-th score skips the full G-KMV merge entirely.
+// topkSigWith selects the k best records in two phases over one bounded
+// min-heap, neither of which scores every record that shares an element
+// with the query.
+//
+// Phase 1 scores the sketch candidates — records sharing at least one
+// sketch element with the query (K∩ ≥ 1) — with an upper-bound prune: once
+// the heap holds k results, a candidate whose cheap score ceiling cannot
+// beat the running k-th score skips the full G-KMV merge.
+//
+// Phase 2 reaches the buffer-only records (K∩ = 0, so D̂∩ = 0 and the score
+// is exactly |H_Q ∩ H_X| / |Q|, no merge needed) through the buffer posting
+// lists, rarest query bit first. It is the prefix filter of
+// gatherSearchCandidates with θ taken from the running heap: a buffer-only
+// record can only enter the results with an overlap of at least c, the least
+// integer with c/|Q| ≥ the k-th score (c = 1 while the heap is not full), so
+// it holds one of any nq − c + 1 of the query's nq buffered bits. c only
+// rises as the heap improves, so the prefix to scan only shrinks, and the
+// walk stops once it has covered it. A record scoring exactly the k-th
+// score still has overlap ≥ c and is still reached, so it can win its tie
+// on a smaller id; results stay bit-identical to scoring every record.
 func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 	if k <= 0 || sig.Size == 0 {
 		return nil
 	}
 	sig.Stats = QueryStats{}
-	// Candidate generation as in searchSigWith with θ → 0⁺: any record
-	// sharing a sketch element or a buffered element can score above zero.
-	// K∩ per candidate is accumulated for the prune below.
+	// Phase 1 candidates: every record sharing a sketch element, with K∩
+	// accumulated exactly per candidate for the prune below.
 	sc.nextEpoch()
 	sc.touched = sc.touched[:0]
 	for _, e := range sig.rest {
 		for _, id := range ix.postings.get(e) {
 			sc.visit(id)
 			sc.counts[id]++
-		}
-	}
-	if sig.buffer != nil {
-		for wi, words := 0, sig.buffer.Words(); wi < words; wi++ {
-			w := sig.buffer.Word(wi)
-			for w != 0 {
-				bit := wi*64 + bits.TrailingZeros64(w)
-				w &= w - 1
-				for _, id := range ix.bufferPostings[bit] {
-					sc.visit(id)
-				}
-			}
 		}
 	}
 	// The score ceiling reuses Search's K∩ bound: D̂∩ = K∩·(k−1)/(k·U(k)) ≤
@@ -82,7 +85,6 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 		qMax = hs[len(hs)-1]
 	}
 	size := float64(sig.Size)
-	sig.Stats.Candidates = len(sc.touched)
 	h := topkheap.Make(k, sc.heap)
 	for _, id := range sc.touched {
 		exact := ix.bufferOverlap(sig, int(id))
@@ -107,8 +109,58 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 			h.Push(int(id), est)
 		}
 	}
+	if sig.buffer != nil {
+		// Phase 2. Every record not yet visited has K∩ = 0 (same element ⇔
+		// same hash value), so its estimate is the buffer overlap alone —
+		// exactly what phase 1 would compute, since D̂∩ is then +0.
+		// Until the heap is full c = 1, and the walk covers all nq bits.
+		nq := sig.buffer.Count()
+		scanned := 0
+		for _, bit := range ix.bitOrder {
+			if !sig.buffer.Get(int(bit)) {
+				continue
+			}
+			if h.Full() && scanned >= nq-minOverlap(h.WorstScore(), size)+1 {
+				break
+			}
+			for _, id := range ix.bufferPostings[bit] {
+				if sc.visited[id] == sc.epoch {
+					continue
+				}
+				sc.visit(id)
+				sig.Stats.BufferAccepts++
+				est := float64(ix.bufferOverlap(sig, int(id))) / size
+				if est > 1 {
+					est = 1
+				}
+				if est > 0 {
+					h.Push(int(id), est)
+				}
+			}
+			scanned++
+		}
+	}
+	sig.Stats.Candidates = len(sc.touched)
 	sc.heap = h.Buf()
 	return h.Sorted()
+}
+
+// minOverlap returns the least buffer overlap c ≥ 1 whose exact score c/|Q|
+// reaches worst, a positive k-th score. It is computed in the same float
+// arithmetic as the scores themselves, so a record tying the k-th score is
+// never excluded by rounding.
+func minOverlap(worst, size float64) int {
+	c := int(math.Ceil(worst * size))
+	if c < 1 {
+		c = 1
+	}
+	for c > 1 && float64(c-1)/size >= worst {
+		c--
+	}
+	for float64(c)/size < worst {
+		c++
+	}
+	return c
 }
 
 // SearchBatch runs Search for every query concurrently and returns the

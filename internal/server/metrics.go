@@ -59,12 +59,12 @@ type Metrics struct {
 	// count so stale children are removed exactly) and the snapshot pause
 	// histogram — per segment-encode for segmented collections, per
 	// index-encode for single-index ones.
-	segRecords *obs.GaugeVec     // collection, segment
-	snapPause  *obs.HistogramVec // collection
-	segCounts  sync.Map          // collection name → int
-	journaled   *obs.GaugeVec // collection: entries in the current journal
-	walOffset   *obs.GaugeVec // collection: journal logical size
-	walSynced   *obs.GaugeVec // collection: durable high-water mark
+	segRecords  *obs.GaugeVec     // collection, segment
+	snapPause   *obs.HistogramVec // collection
+	segCounts   sync.Map          // collection name → int
+	journaled   *obs.GaugeVec     // collection: entries in the current journal
+	walOffset   *obs.GaugeVec     // collection: journal logical size
+	walSynced   *obs.GaugeVec     // collection: durable high-water mark
 	hashedTotal *obs.CounterVec
 	shrinkTotal *obs.CounterVec
 
@@ -147,7 +147,8 @@ func newMetrics() *Metrics {
 		estTotal: r.CounterVec("gbkmv_search_estimated_total",
 			"Full sketch-merge estimates computed by searches.", "collection"),
 		bufferAccepts: r.CounterVec("gbkmv_search_buffer_accepts_total",
-			"Hits settled by the exact frequent-element buffer alone.", "collection"),
+			"Candidates settled by the exact frequent-element buffer alone: threshold hits and top-k buffer-only records.",
+			"collection"),
 		fencing: r.CounterVec("gbkmv_repl_fencing_rejections_total",
 			"Stale-generation replication requests rejected with 410 Gone (fenced-off peers).",
 			"collection"),
