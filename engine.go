@@ -75,9 +75,9 @@ type PreparedQuery interface {
 	// SearchScored returns the hits Search would return with their
 	// containment estimates attached, ascending by id, plus the total
 	// qualifying count. limit > 0 caps the materialized hits (total still
-	// counts everything). Each returned record is estimated exactly once,
-	// which is why a serving layer should prefer this over Search followed
-	// by per-hit Estimate calls.
+	// counts everything). It scores hits from the work its search already
+	// did, which is why a serving layer should prefer this over Search
+	// followed by per-hit Estimate calls.
 	SearchScored(threshold float64, limit int) (hits []Scored, total int)
 	// TopK returns the k best records by estimated containment, best first.
 	TopK(k int) []Scored

@@ -231,11 +231,14 @@ type QueryStats struct {
 	// candidates plus the buffer-only records its prefix-filtered buffer
 	// walk reached before stopping.
 	Candidates    int
-	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, no merge paid
-	Estimated     int // full G-KMV merge estimates performed
+	PrunedByBound int // candidates dismissed by the K∩ upper-bound prune, no estimate paid
+	// Estimated counts the G-KMV estimates that decided a candidate.
+	// Scoring a threshold search's returned page is not counted, so
+	// Candidates = PrunedByBound + Estimated + BufferAccepts.
+	Estimated int
 	// BufferAccepts counts candidates settled by the exact buffer part
-	// alone, no merge paid: threshold hits whose buffer overlap meets θ, and
-	// top-k's buffer-only records (K∩ = 0), scored by the overlap alone.
+	// alone, no estimate paid: threshold hits whose buffer overlap meets θ,
+	// and top-k's buffer-only records (K∩ = 0), scored by the overlap alone.
 	BufferAccepts int
 }
 

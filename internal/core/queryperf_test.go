@@ -41,6 +41,22 @@ func TestSearchSigAllocs(t *testing.T) {
 	}
 }
 
+func TestSearchSigScoredAllocs(t *testing.T) {
+	// The server's search path: hits come out of the scratch bitset, so the
+	// only allocation is the page, sized to the limit, not the candidates.
+	ix, queries := allocFixture(t)
+	sig := ix.Sketch(queries[0])
+	for i := 0; i < 4; i++ {
+		ix.SearchSigScored(sig, 0.5, 100)
+	}
+	if got := testing.AllocsPerRun(100, func() { ix.SearchSigScored(sig, 0.5, 100) }); got > 2 {
+		t.Errorf("SearchSigScored allocates %.1f per call, want ≤ 2", got)
+	}
+	if hits, _ := ix.SearchSigScored(sig, 0.5, 100); cap(hits) > 100 {
+		t.Errorf("SearchSigScored page has capacity %d, want ≤ limit 100", cap(hits))
+	}
+}
+
 func TestSearchTopKSigAllocs(t *testing.T) {
 	ix, queries := allocFixture(t)
 	sig := ix.Sketch(queries[0])
@@ -235,15 +251,7 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 		checkDifferential(t, ix, queries, "post-shrink")
 
 		// And once more through a Save/Load round trip of the arena wire.
-		var buf bytes.Buffer
-		if err := ix.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		loaded, err := Load(&buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkDifferential(t, loaded, queries, "reloaded")
+		checkDifferential(t, reload(t, ix), queries, "reloaded")
 	}
 }
 
@@ -254,14 +262,7 @@ func TestArenaDifferentialAgainstReference(t *testing.T) {
 // the cached bitOrder stale with inserts that lengthen the rarest buffered
 // bits' posting lists, and checks again before and after a Save/Load.
 func TestTopKDifferentialSkewed(t *testing.T) {
-	d, err := dataset.Synthetic(dataset.SyntheticConfig{
-		NumRecords: 2000, Universe: 5000,
-		AlphaFreq: 1.1, AlphaSize: 2.5,
-		MinSize: 20, MaxSize: 300,
-	}, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := skewedCorpus(t)
 	ix, err := BuildIndex(d, defaultOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -303,7 +304,28 @@ func TestTopKDifferentialSkewed(t *testing.T) {
 		t.Fatal("inserts left bitOrder sorted; fixture does not exercise a stale order")
 	}
 	checkDifferential(t, ix, queries, "stale-order")
+	checkDifferential(t, reload(t, ix), queries, "skewed-reloaded")
+}
 
+// skewedCorpus is a 2000-record power-law corpus: skewed enough that top-k's
+// buffer walk stops early, and large enough that threshold hits span many
+// 64-bit words of the hit bitset.
+func skewedCorpus(t *testing.T) *dataset.Dataset {
+	t.Helper()
+	d, err := dataset.Synthetic(dataset.SyntheticConfig{
+		NumRecords: 2000, Universe: 5000,
+		AlphaFreq: 1.1, AlphaSize: 2.5,
+		MinSize: 20, MaxSize: 300,
+	}, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// reload returns ix after a Save/Load round trip.
+func reload(t *testing.T, ix *Index) *Index {
+	t.Helper()
 	var buf bytes.Buffer
 	if err := ix.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -312,7 +334,7 @@ func TestTopKDifferentialSkewed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkDifferential(t, loaded, queries, "skewed-reloaded")
+	return loaded
 }
 
 func TestLoadLegacyV1Snapshot(t *testing.T) {

@@ -1,10 +1,15 @@
 package core
 
-import "gbkmv/internal/topkheap"
+import (
+	"math/bits"
+
+	"gbkmv/internal/topkheap"
+)
 
 // searchScratch is the per-call working memory of the query path: the
 // candidate-accumulation arrays sized to the collection, an epoch-stamped
-// visited array so nothing is cleared between queries, a reusable top-k heap
+// visited array so nothing is cleared between queries, a hit bitset that is
+// all zeros between queries, a reusable top-k heap
 // buffer, and a reusable query-signature slot for the sketch-and-search
 // entry points. Instances live in a per-index sync.Pool; steady-state
 // searches therefore allocate nothing beyond their result slice.
@@ -19,6 +24,7 @@ type searchScratch struct {
 	visited []uint32 // visited[id] == epoch ⇔ id touched by this query
 	counts  []int32  // K∩ per touched record
 	touched []int32  // the touched ids, for sparse iteration
+	hits    []uint64 // threshold-search hits by id; drainHits clears it
 	heap    []topkheap.Scored
 	sig     QuerySig // reusable signature for the Search(q)/SearchTopK(q) paths
 }
@@ -35,6 +41,7 @@ func (ix *Index) getScratch() *searchScratch {
 	if len(sc.visited) < m {
 		sc.visited = make([]uint32, m)
 		sc.counts = make([]int32, m)
+		sc.hits = make([]uint64, (m+63)/64)
 		sc.epoch = 0
 	}
 	return sc
@@ -68,4 +75,24 @@ func (sc *searchScratch) visit(id int32) {
 	sc.visited[id] = sc.epoch
 	sc.counts[id] = 0
 	sc.touched = append(sc.touched, id)
+}
+
+// markHit records id as a threshold-search hit.
+func (sc *searchScratch) markHit(id int32) {
+	sc.hits[id>>6] |= 1 << (id & 63)
+}
+
+// drainHits calls emit on the first n hits in ascending id order and
+// clears the whole bitset, leaving it ready for the next query.
+func (sc *searchScratch) drainHits(n int, emit func(id int)) {
+	for wi, w := range sc.hits {
+		if w == 0 {
+			continue
+		}
+		sc.hits[wi] = 0
+		for ; w != 0 && n != 0; w &= w - 1 {
+			emit(wi<<6 | bits.TrailingZeros64(w))
+			n--
+		}
+	}
 }

@@ -1,10 +1,10 @@
 package core
 
 import (
-	"slices"
 	"sort"
 
 	"gbkmv/internal/dataset"
+	"gbkmv/internal/gkmv"
 	"gbkmv/internal/hash"
 )
 
@@ -42,37 +42,63 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 		}
 		return out
 	}
+	total := ix.collectHits(sig, theta, sc)
+	out := make([]int, 0, total)
+	sc.drainHits(total, func(id int) { out = append(out, id) })
+	return out
+}
+
+// collectHits is the membership pass of threshold search, shared by
+// searchSigWith and searchSigScoredWith: it marks every record whose
+// estimate reaches θ in sc.hits and returns their number. Each candidate
+// costs O(1) beyond its buffer AND, since its K∩ is already counted (see
+// countedInter); the callers then emit hits in id order from the bitset,
+// with no sort.
+func (ix *Index) collectHits(sig *QuerySig, theta float64, sc *searchScratch) int {
 	ix.gatherSearchCandidates(sig, theta, sc)
 	sig.Stats.Candidates = len(sc.touched)
 	// The paper's K∩ ≥ o prune (Section IV-B, "Implementation"): the
 	// G-KMV estimate is D̂∩ = K∩·(k−1)/(k·U(k)) ≤ K∩/U(k), and U(k) — the
 	// largest hash in L_Q ∪ L_X — is at least the largest hash of L_Q
 	// alone. A candidate can only reach the remaining overlap need
-	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q).
+	// θ − |H_Q ∩ H_X| if K∩ ≥ need·max(L_Q). The prune still pays: it
+	// skips the arena loads an estimate needs.
 	qMax := 0.0
 	if hs := sig.sketch.Hashes(); len(hs) > 0 {
 		qMax = hs[len(hs)-1]
 	}
-	out := make([]int, 0, len(sc.touched))
+	total := 0
 	for _, id := range sc.touched {
-		need := theta - float64(ix.bufferOverlap(sig, int(id)))
-		if need <= 0 {
+		exact := float64(ix.bufferOverlap(sig, int(id)))
+		switch need := theta - exact; {
+		case need <= 0:
 			// The exact buffer part alone meets the threshold.
-			out = append(out, int(id))
 			sig.Stats.BufferAccepts++
-			continue
-		}
-		if float64(sc.counts[id]) < need*qMax {
+		case float64(sc.counts[id]) < need*qMax:
 			sig.Stats.PrunedByBound++
 			continue
+		default:
+			sig.Stats.Estimated++
+			if exact+ix.countedInter(sig, id, sc) < theta {
+				continue
+			}
 		}
-		sig.Stats.Estimated++
-		if ix.EstimateIntersection(sig, int(id)) >= theta {
-			out = append(out, int(id))
-		}
+		sc.markHit(id)
+		total++
 	}
-	slices.Sort(out)
-	return out
+	return total
+}
+
+// countedInter is the G-KMV part D̂∩ of EstimateIntersection for a record
+// the posting walk visited, computed from the K∩ it counted into sc.counts
+// instead of by a merge. The count equals the merge's K∩: sc.counts[id]
+// counts the elements of sig.rest whose posting list holds id, sig.rest is
+// exactly Q's non-buffered elements with h ≤ τ, records are duplicate-free
+// sets, and the posting lists mirror the arena runs (build, insert, shrink
+// filter, load) — so under same element ⇔ same hash value, the assumption
+// the K∩ prune already rests on, the result is bit-identical.
+func (ix *Index) countedInter(sig *QuerySig, id int32, sc *searchScratch) float64 {
+	return gkmv.IntersectCounted(sig.sketch, ix.arena.view(int(id)), int(sc.counts[id])).DInter
 }
 
 // gatherSearchCandidates accumulates into sc.touched every record that can
@@ -92,14 +118,7 @@ func (ix *Index) searchSigWith(sig *QuerySig, tstar float64, sc *searchScratch) 
 // A slightly stale order after inserts changes only which equally-valid
 // candidate superset is scanned, never the final results.
 func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *searchScratch) {
-	sc.nextEpoch()
-	sc.touched = sc.touched[:0]
-	for _, e := range sig.rest {
-		for _, id := range ix.postings.get(e) {
-			sc.visit(id)
-			sc.counts[id]++
-		}
-	}
+	ix.walkPostings(sig, sc)
 	if sig.buffer != nil {
 		nq := sig.buffer.Count()
 		c := int(theta)
@@ -119,6 +138,19 @@ func (ix *Index) gatherSearchCandidates(sig *QuerySig, theta float64, sc *search
 					break
 				}
 			}
+		}
+	}
+}
+
+// walkPostings starts a query run on sc and visits every record sharing a
+// sketch element with the query, counting K∩ exactly into sc.counts.
+func (ix *Index) walkPostings(sig *QuerySig, sc *searchScratch) {
+	sc.nextEpoch()
+	sc.touched = sc.touched[:0]
+	for _, e := range sig.rest {
+		for _, id := range ix.postings.get(e) {
+			sc.visit(id)
+			sc.counts[id]++
 		}
 	}
 }

@@ -1,20 +1,15 @@
 package core
 
-import "slices"
-
 // SearchSigScored is SearchSig with each hit's containment estimate
 // attached: records meeting θ = tstar·|Q| are returned as (id, estimate)
 // pairs in ascending id order, together with the total qualifying count.
 // limit > 0 caps the hits that are materialized (the total still counts
 // everything).
 //
-// The point of the combined form is that every *returned* record is
-// estimated exactly once: the estimate that decided membership during the
-// candidate walk doubles as the hit's score, instead of the serving layer
-// re-estimating each returned id after Search. Records accepted on the
-// exact buffer part alone (whose membership needs no G-KMV merge) defer
-// their estimate until after the limit cut, so hits beyond the cap are
-// never scored.
+// The point of the combined form is that the serving layer does not
+// re-estimate each returned id after Search: the membership pass decides
+// every candidate from its counted K∩, and only the materialized page is
+// then scored, with the same O(1) estimator.
 func (ix *Index) SearchSigScored(sig *QuerySig, tstar float64, limit int) ([]Scored, int) {
 	sc := ix.getScratch()
 	defer ix.putScratch(sc)
@@ -28,67 +23,25 @@ func (ix *Index) searchSigScoredWith(sig *QuerySig, tstar float64, limit int, sc
 	sig.Stats = QueryStats{}
 	size := float64(sig.Size)
 	theta := tstar * size
+	total := len(ix.records) // every record trivially satisfies θ ≤ 0
+	if theta > 0 {
+		total = ix.collectHits(sig, theta, sc)
+	}
+	n := total
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	out := make([]Scored, 0, n)
 	if theta <= 0 {
-		// Every record trivially satisfies the threshold; estimate only the
-		// materialized page, never O(N).
-		total := len(ix.records)
-		n := total
-		if limit > 0 && n > limit {
-			n = limit
-		}
-		out := make([]Scored, n)
+		// Estimate only the materialized page, never O(N).
 		for i := 0; i < n; i++ {
-			out[i] = Scored{ID: i, Score: ix.EstimateContainment(sig, i)}
+			out = append(out, Scored{ID: i, Score: ix.EstimateContainment(sig, i)})
 		}
-		sig.Stats.Estimated = n
 		return out, total
 	}
-	ix.gatherSearchCandidates(sig, theta, sc)
-	sig.Stats.Candidates = len(sc.touched)
-	// Same K∩ ≥ need·max(L_Q) prune as searchSigWith; pruned candidates are
-	// provably below θ, so they need no estimate at all.
-	qMax := 0.0
-	if hs := sig.sketch.Hashes(); len(hs) > 0 {
-		qMax = hs[len(hs)-1]
-	}
-	out := make([]Scored, 0, len(sc.touched))
-	deferred := false
-	for _, id := range sc.touched {
-		need := theta - float64(ix.bufferOverlap(sig, int(id)))
-		if need <= 0 {
-			// The exact buffer part alone meets the threshold: membership is
-			// settled, so park the estimate behind the limit cut (Score -1 is
-			// the sentinel; real scores are clamped to [0, 1]).
-			out = append(out, Scored{ID: int(id), Score: -1})
-			deferred = true
-			sig.Stats.BufferAccepts++
-			continue
-		}
-		if float64(sc.counts[id]) < need*qMax {
-			sig.Stats.PrunedByBound++
-			continue
-		}
-		sig.Stats.Estimated++
-		if inter := ix.EstimateIntersection(sig, int(id)); inter >= theta {
-			est := inter / size
-			if est > 1 {
-				est = 1
-			}
-			out = append(out, Scored{ID: int(id), Score: est})
-		}
-	}
-	slices.SortFunc(out, func(a, b Scored) int { return a.ID - b.ID })
-	total := len(out)
-	if limit > 0 && len(out) > limit {
-		out = out[:limit]
-	}
-	if deferred {
-		for i := range out {
-			if out[i].Score < 0 {
-				out[i].Score = ix.EstimateContainment(sig, out[i].ID)
-				sig.Stats.Estimated++
-			}
-		}
-	}
+	sc.drainHits(n, func(id int) {
+		est := (float64(ix.bufferOverlap(sig, id)) + ix.countedInter(sig, int32(id), sc)) / size
+		out = append(out, Scored{ID: id, Score: min(est, 1)})
+	})
 	return out, total
 }

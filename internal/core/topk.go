@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"gbkmv/internal/dataset"
-	"gbkmv/internal/gkmv"
 	"gbkmv/internal/topkheap"
 )
 
@@ -42,13 +41,14 @@ func (ix *Index) SearchTopKSig(sig *QuerySig, k int) []Scored {
 // with the query.
 //
 // Phase 1 scores the sketch candidates — records sharing at least one
-// sketch element with the query (K∩ ≥ 1) — with an upper-bound prune: once
-// the heap holds k results, a candidate whose cheap score ceiling cannot
-// beat the running k-th score skips the full G-KMV merge.
+// sketch element with the query (K∩ ≥ 1) — from their counted K∩
+// (countedInter), with an upper-bound prune: once the heap holds k results,
+// a candidate whose cheap score ceiling cannot beat the running k-th score
+// is not estimated at all.
 //
 // Phase 2 reaches the buffer-only records (K∩ = 0, so D̂∩ = 0 and the score
-// is exactly |H_Q ∩ H_X| / |Q|, no merge needed) through the buffer posting
-// lists, rarest query bit first. It is the prefix filter of
+// is exactly |H_Q ∩ H_X| / |Q|, no sketch estimate needed) through the
+// buffer posting lists, rarest query bit first. It is the prefix filter of
 // gatherSearchCandidates with θ taken from the running heap: a buffer-only
 // record can only enter the results with an overlap of at least c, the least
 // integer with c/|Q| ≥ the k-th score (c = 1 while the heap is not full), so
@@ -64,14 +64,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 	sig.Stats = QueryStats{}
 	// Phase 1 candidates: every record sharing a sketch element, with K∩
 	// accumulated exactly per candidate for the prune below.
-	sc.nextEpoch()
-	sc.touched = sc.touched[:0]
-	for _, e := range sig.rest {
-		for _, id := range ix.postings.get(e) {
-			sc.visit(id)
-			sc.counts[id]++
-		}
-	}
+	ix.walkPostings(sig, sc)
 	// The score ceiling reuses Search's K∩ bound: D̂∩ = K∩·(k−1)/(k·U(k)) ≤
 	// K∩/U(k) ≤ K∩/max(L_Q), since U(k) — the largest hash of L_Q ∪ L_X —
 	// is at least the largest hash of L_Q alone (and in the lossless case
@@ -92,19 +85,12 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 		if qMax > 0 {
 			upper += float64(sc.counts[id]) / qMax
 		}
-		ub := upper / size
-		if ub > 1 {
-			ub = 1
-		}
-		if h.Full() && ub < h.WorstScore() {
+		if h.Full() && min(upper/size, 1) < h.WorstScore() {
 			sig.Stats.PrunedByBound++
 			continue
 		}
 		sig.Stats.Estimated++
-		est := (float64(exact) + gkmv.IntersectViews(sig.sketch, ix.arena.view(int(id))).DInter) / size
-		if est > 1 {
-			est = 1
-		}
+		est := min((float64(exact)+ix.countedInter(sig, id, sc))/size, 1)
 		if est > 0 {
 			h.Push(int(id), est)
 		}
@@ -129,10 +115,7 @@ func (ix *Index) topkSigWith(sig *QuerySig, k int, sc *searchScratch) []Scored {
 				}
 				sc.visit(id)
 				sig.Stats.BufferAccepts++
-				est := float64(ix.bufferOverlap(sig, int(id))) / size
-				if est > 1 {
-					est = 1
-				}
+				est := min(float64(ix.bufferOverlap(sig, int(id)))/size, 1)
 				if est > 0 {
 					h.Push(int(id), est)
 				}

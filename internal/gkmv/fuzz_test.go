@@ -1,6 +1,7 @@
 package gkmv
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"testing"
@@ -30,7 +31,8 @@ func hashesFromBytes(b []byte, seed uint64) []float64 {
 
 // FuzzIntersectViews cross-checks the merge-based union statistics behind
 // IntersectViews against a naive map-based oracle, over arbitrary ascending
-// hash runs and completeness flags. CI runs this briefly
+// hash runs and completeness flags, and pins IntersectCounted, given the
+// oracle's K∩, bit-identical to IntersectViews. CI runs this briefly
 // (-fuzz FuzzIntersectViews -fuzztime 15s) on every push.
 func FuzzIntersectViews(f *testing.F) {
 	f.Add([]byte{}, []byte{}, false, false)
@@ -89,6 +91,15 @@ func FuzzIntersectViews(f *testing.F) {
 			}
 		}
 
+		// The counted estimator, handed the oracle's K∩, must reproduce the
+		// merge bit for bit under every completeness combination.
+		for _, comp := range [][2]bool{{false, false}, {false, true}, {true, false}, {true, true}} {
+			va, vb := MakeView(a, comp[0]), MakeView(b, comp[1])
+			if err := sameIntersection(IntersectCounted(va, vb, kInter), IntersectViews(va, vb)); err != "" {
+				t.Fatalf("complete=%v: IntersectCounted differs from IntersectViews: %s", comp, err)
+			}
+		}
+
 		// The top-k pruning bound the core search relies on: with qMax the
 		// largest hash of A (the query side), DInter ≤ K∩/qMax.
 		if len(a) > 0 && got.KInter > 0 {
@@ -97,4 +108,20 @@ func FuzzIntersectViews(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sameIntersection describes the first field in which got and want differ,
+// comparing floats by their bits, or returns "" when they are identical.
+func sameIntersection(got, want Intersection) string {
+	switch {
+	case got.K != want.K || got.KInter != want.KInter || got.Exact != want.Exact:
+		return fmt.Sprintf("K=%d KInter=%d Exact=%v, want %d %d %v", got.K, got.KInter, got.Exact, want.K, want.KInter, want.Exact)
+	case math.Float64bits(got.UK) != math.Float64bits(want.UK):
+		return fmt.Sprintf("UK=%v, want %v", got.UK, want.UK)
+	case math.Float64bits(got.DUnion) != math.Float64bits(want.DUnion):
+		return fmt.Sprintf("DUnion=%v, want %v", got.DUnion, want.DUnion)
+	case math.Float64bits(got.DInter) != math.Float64bits(want.DInter):
+		return fmt.Sprintf("DInter=%v, want %v", got.DInter, want.DInter)
+	}
+	return ""
 }

@@ -139,9 +139,30 @@ func Intersect(a, b *Sketch) Intersection {
 // run directly on two ascending hash runs.
 func IntersectViews(a, b View) Intersection {
 	k, kInter, uk := unionStats(a.hashes, b.hashes)
-	res := Intersection{K: k, KInter: kInter, UK: uk}
-	if a.complete && b.complete {
-		res.Exact = true
+	return estimate(k, kInter, uk, a.complete && b.complete)
+}
+
+// IntersectCounted is IntersectViews for a caller that already knows
+// K∩ = |L_a ∩ L_b|, such as an inverted-index walk that counted the shared
+// elements: k = |L_a| + |L_b| − K∩ and U(k) is the larger of the two runs'
+// last values, so no merge is run. Given the true K∩ it returns every field
+// bit-identical to IntersectViews.
+func IntersectCounted(a, b View, kInter int) Intersection {
+	uk := 0.0
+	if n := len(a.hashes); n > 0 {
+		uk = a.hashes[n-1]
+	}
+	if n := len(b.hashes); n > 0 && b.hashes[n-1] > uk {
+		uk = b.hashes[n-1]
+	}
+	return estimate(len(a.hashes)+len(b.hashes)-kInter, kInter, uk, a.complete && b.complete)
+}
+
+// estimate applies Equations 24–25 to the union statistics: exact counts
+// when both sketches are complete, the KMV estimators otherwise.
+func estimate(k, kInter int, uk float64, exact bool) Intersection {
+	res := Intersection{K: k, KInter: kInter, UK: uk, Exact: exact}
+	if exact {
 		res.DUnion = float64(k)
 		res.DInter = float64(kInter)
 		return res

@@ -142,10 +142,10 @@ func newMetrics() *Metrics {
 		candTotal: r.CounterVec("gbkmv_search_candidates_total",
 			"Candidate records generated by searches.", "collection"),
 		prunedTotal: r.CounterVec("gbkmv_search_pruned_total",
-			"Candidates dismissed by the upper-bound prune without a sketch merge.",
+			"Candidates dismissed by the upper-bound prune without a sketch estimate.",
 			"collection"),
 		estTotal: r.CounterVec("gbkmv_search_estimated_total",
-			"Full sketch-merge estimates computed by searches.", "collection"),
+			"Sketch estimates computed by searches to decide candidates.", "collection"),
 		bufferAccepts: r.CounterVec("gbkmv_search_buffer_accepts_total",
 			"Candidates settled by the exact frequent-element buffer alone: threshold hits and top-k buffer-only records.",
 			"collection"),

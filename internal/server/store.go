@@ -917,9 +917,8 @@ func (c *Collection) appendHits(dst []Hit, scored []gbkmv.Scored, withTokens boo
 // appending the materialized hits to dst (pass nil, or a pooled buffer, to
 // bound steady-state allocation). limit > 0 caps the hits that are scored
 // and materialized — a threshold-0 query against a large collection must not
-// pay O(N) estimates and token slices for a page of 10. Each returned hit is
-// estimated exactly once: the engine's SearchScored reports the estimate
-// that decided membership during the candidate walk.
+// pay O(N) estimates and token slices for a page of 10. Hits are not
+// re-estimated here: the engine's SearchScored returns each with its score.
 func (c *Collection) Search(tokens []string, threshold float64, limit int, withTokens bool, dst []Hit) (hits []Hit, total int, err error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

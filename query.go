@@ -108,10 +108,9 @@ func (q *Query) Search(threshold float64) []int {
 
 // SearchScored returns the hits Search would return with their containment
 // estimates attached, ascending by id, plus the total qualifying count.
-// limit > 0 caps the materialized hits. Each returned record is estimated
-// exactly once — the estimate that decided membership during the candidate
-// walk is the one reported — so "search, then score every hit" costs one
-// estimate per hit instead of two.
+// limit > 0 caps the materialized hits. Membership and scores both come
+// from the K∩ the candidate walk counted, so no hit pays the sketch merge
+// that "search, then Estimate every hit" would.
 func (q *Query) SearchScored(threshold float64, limit int) (hits []Scored, total int) {
 	return q.inner.SearchSigScored(q.current(), threshold, limit)
 }
